@@ -1,9 +1,9 @@
-//! Criterion: the three executors on the same schedule — virtual-time
-//! simulation throughput (the dataset-generation hot path), the sequential
-//! byte interpreter, and the real threaded backend.
+//! Criterion: the executors on the same schedule — virtual-time
+//! simulation throughput (the dataset-generation hot path) and the
+//! sequential byte interpreter.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pml_collectives::exec::{interp, sim, threaded};
+use pml_collectives::exec::{interp, sim};
 use pml_collectives::{verify, Algorithm, AlltoallAlgo};
 use pml_simnet::{CostModel, JobLayout};
 use std::hint::black_box;
@@ -32,9 +32,6 @@ fn bench_executors(c: &mut Criterion) {
     });
     g.bench_function("interp", |b| {
         b.iter(|| black_box(interp::run(&schedule, &inputs)))
-    });
-    g.bench_function("threaded", |b| {
-        b.iter(|| black_box(threaded::run(&schedule, &inputs)))
     });
     g.finish();
 }

@@ -5,7 +5,7 @@
 //! the step's copies and posts its sends into a global mailbox; the step
 //! then completes once every expected message has arrived. This mirrors the
 //! MPI semantics the schedules are written against and is the correctness
-//! oracle for both the threaded executor and the virtual-time executor.
+//! oracle for the virtual-time executor.
 
 use crate::exec::ExecError;
 use crate::schedule::{Buf, CommSchedule, Op, Region};

@@ -1,14 +1,13 @@
-//! Schedule executors: three backends consuming the same IR.
+//! Schedule executors: two backends consuming the same IR.
 
 pub mod interp;
 pub mod sim;
-pub mod threaded;
 
 pub use sim::SimResult;
 
 use std::fmt;
 
-/// Failure of a byte-moving executor ([`interp`] or [`threaded`]).
+/// Failure of the byte-moving executor ([`interp`]).
 ///
 /// Schedules straight out of a generator that passed
 /// [`CommSchedule::validate`](crate::schedule::CommSchedule::validate)
@@ -40,13 +39,6 @@ pub enum ExecError {
     Deadlock,
     /// Execution completed but sent messages were never received.
     UnconsumedMessages { count: usize },
-    /// A rank thread panicked in the threaded executor; the panic payload
-    /// text is preserved so the failing rank is identifiable.
-    RankPanicked { rank: u32, message: String },
-    /// A rank's inbox closed while it still awaited a message — every peer
-    /// that could have sent it has already exited (the threaded executor's
-    /// analogue of [`ExecError::Deadlock`]).
-    ChannelClosed { rank: u32, from: u32, tag: u32 },
 }
 
 impl fmt::Display for ExecError {
@@ -86,13 +78,6 @@ impl fmt::Display for ExecError {
             ExecError::UnconsumedMessages { count } => {
                 write!(f, "{count} sent message(s) were never received")
             }
-            ExecError::RankPanicked { rank, message } => {
-                write!(f, "rank {rank} thread panicked: {message}")
-            }
-            ExecError::ChannelClosed { rank, from, tag } => write!(
-                f,
-                "rank {rank}: all peers exited while waiting on message from {from} (tag {tag})"
-            ),
         }
     }
 }

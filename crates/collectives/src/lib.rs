@@ -6,11 +6,9 @@
 //! Nine algorithms from the paper's §III are implemented from scratch:
 //! four for `MPI_Allgather` ([`allgather`]) and five for `MPI_Alltoall`
 //! ([`alltoall`]). Each is a *schedule generator* producing the
-//! [`schedule::CommSchedule`] IR, which three executors consume:
+//! [`schedule::CommSchedule`] IR, which two executors consume:
 //!
 //! * [`exec::interp`] — sequential, byte-accurate (correctness oracle);
-//! * [`exec::threaded`] — one thread per rank over crossbeam channels
-//!   (real parallel execution);
 //! * [`exec::sim`] — virtual time against a [`pml_simnet::CostModel`]
 //!   (the measurement backend for the ML dataset).
 //!

@@ -27,7 +27,7 @@
 //! Where [`crate::verify`] moves real bytes through the interpreter,
 //! this module answers in microseconds from the IR alone — the admission
 //! gate schedule *synthesis* (ROADMAP item 3) runs before paying for
-//! threaded execution, and a second, independent proof for every named
+//! byte-moving execution, and a second, independent proof for every named
 //! algorithm the registry ships (`pml-mpi verify --schedules` sweeps the
 //! full grid in CI).
 

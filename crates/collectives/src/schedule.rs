@@ -3,12 +3,10 @@
 //! Every collective algorithm in this crate is expressed as a
 //! [`CommSchedule`]: for each rank, an ordered list of [`Step`]s, each
 //! containing local copies, sends, and receives. The same schedule is then
-//! consumed by three executors:
+//! consumed by two executors:
 //!
 //! * the sequential interpreter ([`crate::exec::interp`]) — moves real bytes,
 //!   used to prove algorithm correctness;
-//! * the threaded executor ([`crate::exec::threaded`]) — one OS thread per
-//!   rank over crossbeam channels, real parallel execution;
 //! * the virtual-time executor ([`crate::exec::sim`]) — charges each
 //!   operation against a [`pml_simnet::CostModel`] to produce the modelled
 //!   runtime the ML dataset is built from.

@@ -15,9 +15,9 @@
 //!   ML selector, MVAPICH2/Open MPI-style static defaults, random
 //!   selection, and the exhaustive-micro-benchmark oracle;
 //! * [`overhead`] — the core-hour models of Figs. 1 and 7;
-//! * [`tuner`] — the runtime-side facade an MPI library links: memoized
-//!   tuning-table lookups graded down through analytic-cost and
-//!   static-rule fallback tiers;
+//! * [`tuner`] — the runtime-side facade an MPI library links: tuning
+//!   tables compiled at load into immutable lookups, graded down through
+//!   analytic-cost and static-rule fallback tiers;
 //! * [`verify`] — static structural verification of shipped artifacts
 //!   (models, tuning tables, binned matrices) without executing them.
 

@@ -3,16 +3,16 @@
 //! At application startup the library builds one [`Tuner`] from the tuning
 //! tables produced at compile time (Fig. 4's JSON artifacts, one per
 //! collective). Every collective call then asks the tuner which algorithm
-//! to run; lookups are memoized per (collective, job shape, message size),
-//! so the steady-state cost is one map probe — the "constant time at
-//! application runtime" the paper's title promises.
+//! to run. [`Tuner::new`] compiles each table once into an immutable grid
+//! index, so an exact grid cell costs three binary searches and one array
+//! read — the "constant time at application runtime" the paper's title
+//! promises — and an off-grid query is one scan over the table's entries
+//! with every logarithm precomputed.
 //!
-//! The memo cache is sharded per collective and read-mostly: every shard
-//! is an [`RwLock`] over an ordered map, so concurrent callers on the
-//! steady-state path take a shared read lock on *different* shards and
-//! never serialize behind one global mutex. [`Tuner`] is `Send + Sync` and
-//! designed to live in an [`std::sync::Arc`] shared by every serving
-//! thread (see `pml-serve`).
+//! Nothing in a [`Tuner`] changes after construction: no locks, no
+//! atomics, no per-query cache, and no state that grows with the queries
+//! it answers. It is `Send + Sync` and designed to live in an
+//! [`std::sync::Arc`] shared by every serving thread (see `pml-serve`).
 
 use crate::error::PmlError;
 use crate::selectors::{
@@ -20,16 +20,12 @@ use crate::selectors::{
 };
 use crate::tuning_table::TuningTable;
 use pml_collectives::{Algorithm, Collective};
-use pml_obs::{Counter, Histogram};
+use pml_obs::Histogram;
 use pml_simnet::NodeSpec;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-static CACHE_HIT: Counter = Counter::new("tuner.cache.hit");
-static CACHE_MISS: Counter = Counter::new("tuner.cache.miss");
-/// How far each (uncached) lookup strayed from the pre-computed table —
-/// bucketed by [`FallbackDepth`] (0 exact … 4 default rules).
+/// How far each lookup strayed from the pre-computed table — bucketed by
+/// [`FallbackDepth`] (0 exact … 4 default rules).
 static FALLBACK_DEPTH: Histogram = Histogram::new("table.fallback.depth", &[0, 1, 2, 3, 4]);
 
 /// How a [`Tuner::select`] decision was reached, from best to worst:
@@ -59,70 +55,182 @@ impl FallbackDepth {
     }
 }
 
-/// Memo key within a shard: the job shape (nodes, ppn, msg_size).
-type ShardKey = (u32, u32, usize);
-/// Memoized decision: the algorithm and how it was reached.
-type Decision = (Algorithm, FallbackDepth);
-
-/// One memo shard: the decisions for a single collective, behind a
-/// read-mostly lock. Hit/miss tallies are relaxed atomics so the read path
-/// never upgrades to a write lock just to count.
-#[derive(Debug, Default)]
-struct Shard {
-    map: RwLock<BTreeMap<ShardKey, Decision>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// The log-scale coordinate [`TuningTable::lookup`] measures distance in.
+fn lg(x: u64) -> f64 {
+    (x as f64).max(1.0).log2()
 }
 
-impl Shard {
-    /// Read view, recovering from a poisoned lock: the map holds plain
-    /// lookup results, so a panic in another thread mid-insert cannot
-    /// leave it semantically inconsistent — worst case is one lost memo.
-    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<ShardKey, Decision>> {
-        self.map.read().unwrap_or_else(PoisonError::into_inner)
+/// One axis of a compiled table: its sorted distinct values and their
+/// [`lg`] coordinates.
+#[derive(Debug)]
+struct Axis {
+    values: Vec<u64>,
+    lg: Vec<f64>,
+}
+
+impl Axis {
+    fn new(mut values: Vec<u64>) -> Self {
+        values.sort_unstable();
+        values.dedup();
+        let lg = values.iter().map(|&v| lg(v)).collect();
+        Axis { values, lg }
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<ShardKey, Decision>> {
-        self.map.write().unwrap_or_else(PoisonError::into_inner)
+    /// Index of `v` on this axis, if it is a grid value.
+    fn position(&self, v: u64) -> Option<usize> {
+        self.values.binary_search(&v).ok()
+    }
+
+    /// `|lg(v) − lg(q)|` for every value `v` on this axis.
+    fn distances(&self, q: u64) -> impl Iterator<Item = f64> + '_ {
+        let lq = lg(q);
+        self.lg.iter().map(move |&l| (l - lq).abs())
+    }
+
+    /// Index of a value known to be on this axis.
+    fn slot(&self, v: u64) -> usize {
+        self.values.partition_point(|&x| x < v)
     }
 }
 
-/// Shard index for a collective: its position in [`Collective::ALL`].
-fn shard_index(collective: Collective) -> usize {
-    match collective {
-        Collective::Allgather => 0,
-        Collective::Alltoall => 1,
-        Collective::Bcast => 2,
-        Collective::Allreduce => 3,
+/// Marks a grid cell no entry occupies.
+const NO_ENTRY: usize = usize::MAX;
+
+/// A dense cell array may hold at most this many slots per table entry.
+/// A verified table is a total grid (one slot per entry); sparser tables
+/// find exact cells by scanning entry coordinates instead, so the index
+/// stays within a constant factor of the table it was built from.
+const MAX_CELLS_PER_ENTRY: usize = 4;
+
+/// A tuning table compiled for lookup. Answers exactly what
+/// [`TuningTable::get`] and [`TuningTable::lookup`] answer on the table it
+/// was built from, and is never mutated after [`CompiledTable::new`].
+#[derive(Debug)]
+struct CompiledTable {
+    cluster: String,
+    /// (nodes, ppn, msg) axes.
+    axes: [Axis; 3],
+    /// Every entry in stored order: its position on each axis and its
+    /// algorithm.
+    entries: Vec<([usize; 3], Algorithm)>,
+    /// Row-major (nodes, ppn, msg) cell → index into `entries` of the
+    /// first entry at that cell, or [`NO_ENTRY`]. Empty when the grid has
+    /// more than [`MAX_CELLS_PER_ENTRY`] cells per entry.
+    cells: Vec<usize>,
+}
+
+impl CompiledTable {
+    fn new(table: &TuningTable) -> Self {
+        let rows = table.entries();
+        let axes = [
+            Axis::new(rows.iter().map(|e| u64::from(e.nodes)).collect()),
+            Axis::new(rows.iter().map(|e| u64::from(e.ppn)).collect()),
+            Axis::new(rows.iter().map(|e| e.msg_size).collect()),
+        ];
+        let entries = rows
+            .iter()
+            .map(|e| {
+                let c = [
+                    axes[0].slot(u64::from(e.nodes)),
+                    axes[1].slot(u64::from(e.ppn)),
+                    axes[2].slot(e.msg_size),
+                ];
+                (c, e.algorithm)
+            })
+            .collect();
+        let n_cells = axes
+            .iter()
+            .try_fold(1usize, |acc, a| acc.checked_mul(a.values.len()));
+        let mut t = CompiledTable {
+            cluster: table.cluster.clone(),
+            axes,
+            entries,
+            cells: Vec::new(),
+        };
+        if let Some(n) = n_cells.filter(|&n| n <= MAX_CELLS_PER_ENTRY * t.entries.len()) {
+            let mut cells = vec![NO_ENTRY; n];
+            for (i, (c, _)) in t.entries.iter().enumerate() {
+                let slot = &mut cells[t.cell(*c)];
+                if *slot == NO_ENTRY {
+                    *slot = i;
+                }
+            }
+            t.cells = cells;
+        }
+        t
+    }
+
+    fn cell(&self, [i, j, k]: [usize; 3]) -> usize {
+        (i * self.axes[1].values.len() + j) * self.axes[2].values.len() + k
+    }
+
+    /// Exact-cell hit, as [`TuningTable::get`]: the first entry at the
+    /// queried cell.
+    fn get(&self, q: [u64; 3]) -> Option<Algorithm> {
+        let c = [
+            self.axes[0].position(q[0])?,
+            self.axes[1].position(q[1])?,
+            self.axes[2].position(q[2])?,
+        ];
+        let entry = if self.cells.is_empty() {
+            self.entries.iter().position(|(e, _)| *e == c)?
+        } else {
+            self.cells
+                .get(self.cell(c))
+                .copied()
+                .filter(|&e| e != NO_ENTRY)?
+        };
+        self.entries.get(entry).map(|&(_, a)| a)
+    }
+
+    /// Nearest bucket, as [`TuningTable::lookup`]: the same distance
+    /// expression over the same `lg` values, scanned in stored order, first
+    /// minimum wins — bitwise the oracle's choice. Only each axis's
+    /// `|lg(v) − lg(q)|` terms are hoisted out of the scan.
+    fn nearest(&self, q: [u64; 3]) -> Option<Algorithm> {
+        let [n, p, m] = &self.axes;
+        let all: Vec<f64> = n
+            .distances(q[0])
+            .chain(p.distances(q[1]))
+            .chain(m.distances(q[2]))
+            .collect();
+        let (dn, rest) = all.split_at(n.values.len());
+        let (dp, dm) = rest.split_at(p.values.len());
+        self.entries
+            .iter()
+            .map(|&([i, j, k], a)| (4.0 * dn[i] + 4.0 * dp[j] + dm[k], a))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, a)| a)
     }
 }
 
-/// Per-process algorithm selection with memoized tuning-table lookups.
+/// Per-process algorithm selection from compiled tuning tables.
 ///
-/// Thread-safety: the tables are immutable after construction and the memo
-/// cache is sharded per collective behind read-mostly locks, so any number
-/// of threads may call [`Tuner::select`] concurrently on one shared
-/// (`Arc`-wrapped) tuner. Ordered maps throughout: iteration order (e.g.
-/// in [`Tuner::covered`] or any future cache dump) is deterministic, never
+/// Thread-safety: everything is immutable after construction, so any
+/// number of threads may call [`Tuner::select`] concurrently on one shared
+/// (`Arc`-wrapped) tuner without synchronizing. Ordered maps throughout:
+/// iteration order (e.g. in [`Tuner::covered`]) is deterministic, never
 /// hash-seed dependent.
 #[derive(Debug)]
 pub struct Tuner {
-    tables: BTreeMap<Collective, TuningTable>,
+    tables: BTreeMap<Collective, CompiledTable>,
     /// The analytic α-β-γ tier, graded between the table and the static
     /// default rules when present (see [`FallbackDepth::Analytic`]).
     analytic: Option<AnalyticSelector>,
-    shards: [Shard; Collective::ALL.len()],
 }
 
 impl Tuner {
     /// Build from tuning tables (typically deserialized from the JSON files
-    /// next to the MPI library). Collectives without a table fall back to
-    /// the library's static default rules.
+    /// next to the MPI library), compiling each for lookup. Collectives
+    /// without a table fall back to the library's static default rules;
+    /// of two tables for one collective, the later wins.
     pub fn new(tables: impl IntoIterator<Item = TuningTable>) -> Self {
         Tuner {
-            tables: tables.into_iter().map(|t| (t.collective, t)).collect(),
+            tables: tables
+                .into_iter()
+                .map(|t| (t.collective, CompiledTable::new(&t)))
+                .collect(),
             analytic: None,
-            shards: Default::default(),
         }
     }
 
@@ -182,50 +290,29 @@ impl Tuner {
         self.tables.get(&collective).map(|t| t.cluster.as_str())
     }
 
-    /// (cache hits, cache misses) so far, summed over every shard.
-    pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            (
-                h + s.hits.load(Ordering::Relaxed),
-                m + s.misses.load(Ordering::Relaxed),
-            )
-        })
-    }
-
-    /// Memoized decisions held right now, summed over every shard.
-    pub fn cached_decisions(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
     /// Pick the algorithm for one collective call.
     pub fn select(&self, collective: Collective, job: JobConfig) -> Algorithm {
         self.select_traced(collective, job).0
     }
 
     /// Like [`Tuner::select`], but also report how the decision was reached.
-    /// The depth is recorded in the `table.fallback.depth` histogram only on
-    /// memo-cache misses (a cached hit repeats an already-counted decision);
-    /// the returned depth is accurate either way.
+    /// Every call records its depth in the `table.fallback.depth` histogram.
     pub fn select_traced(
         &self,
         collective: Collective,
         job: JobConfig,
     ) -> (Algorithm, FallbackDepth) {
-        let key = (job.nodes, job.ppn, job.msg_size);
-        let shard = &self.shards[shard_index(collective)];
-        if let Some(&(a, depth)) = shard.read().get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            CACHE_HIT.inc();
-            return (a, depth);
-        }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        CACHE_MISS.inc();
         let world = job.world_size();
         let mut depth = FallbackDepth::DefaultRules;
         let mut chosen = None;
         if let Some(t) = self.tables.get(&collective) {
-            let exact = t.get(job.nodes, job.ppn, job.msg_size as u64);
-            let raw = exact.or_else(|| t.lookup(job.nodes, job.ppn, job.msg_size as u64));
+            let q = [
+                u64::from(job.nodes),
+                u64::from(job.ppn),
+                job.msg_size as u64,
+            ];
+            let exact = t.get(q);
+            let raw = exact.or_else(|| t.nearest(q));
             if let Some(a) = raw {
                 let applied = applicable_or_fallback(a, world);
                 if applied.supports(world) {
@@ -252,10 +339,6 @@ impl Tuner {
         }
         let chosen = chosen.unwrap_or_else(|| MvapichDefault.select(collective, job));
         FALLBACK_DEPTH.observe(depth.as_u64());
-        // Two threads racing on the same uncached key both compute the same
-        // deterministic decision; whichever inserts second overwrites with
-        // an identical value, so the memo never flaps.
-        shard.write().insert(key, (chosen, depth));
         (chosen, depth)
     }
 }
@@ -282,17 +365,6 @@ mod tests {
         t.insert(2, 8, 65536, Algorithm::Alltoall(AlltoallAlgo::Pairwise))
             .unwrap();
         t
-    }
-
-    #[test]
-    fn table_lookups_are_memoized() {
-        let tuner = Tuner::new([table()]);
-        let job = JobConfig::new(2, 8, 64);
-        let a = tuner.select(Collective::Alltoall, job);
-        assert_eq!(a, Algorithm::Alltoall(AlltoallAlgo::Bruck));
-        let b = tuner.select(Collective::Alltoall, job);
-        assert_eq!(a, b);
-        assert_eq!(tuner.stats(), (1, 1));
     }
 
     #[test]
@@ -351,15 +423,15 @@ mod tests {
         assert_eq!(a, Algorithm::Alltoall(AlltoallAlgo::Bruck));
         assert_eq!(depth, FallbackDepth::Exact);
         assert_eq!(depth.as_u64(), 0);
-        // A memoized repeat reports the same depth.
+        // A repeat reports the same depth.
         assert_eq!(
             tuner.select_traced(Collective::Alltoall, job),
             (a, FallbackDepth::Exact)
         );
     }
 
-    /// The whole point of the sharded cache: a tuner in an `Arc` is usable
-    /// from any number of threads. Compile-time guarantee.
+    /// A tuner in an `Arc` is usable from any number of threads.
+    /// Compile-time guarantee.
     #[test]
     fn tuner_is_send_sync_and_arc_shareable() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
@@ -390,10 +462,6 @@ mod tests {
                 });
             }
         });
-        // Every decision memoized exactly once; the rest were shard hits.
-        let (hits, misses) = tuner.stats();
-        assert_eq!(hits + misses, 4 * jobs.len() as u64);
-        assert!(tuner.cached_decisions() <= jobs.len());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! {
 //!   "schema": "pml-obs/v2",
 //!   "metrics_total": 12,
-//!   "counters": {"tuner.cache.hit": 3},
+//!   "counters": {"dataset.cache.hit": 3},
 //!   "gauges": {"train.model.features": 5},
 //!   "histograms": {
 //!     "table.fallback.depth": {

@@ -7,7 +7,7 @@
 //!
 //! ```
 //! use pml_obs::Counter;
-//! static CACHE_HIT: Counter = Counter::new("tuner.cache.hit");
+//! static CACHE_HIT: Counter = Counter::new("dataset.cache.hit");
 //! CACHE_HIT.inc();
 //! ```
 //!
@@ -17,7 +17,7 @@
 //! rayon, and cannot perturb any deterministic pipeline output.
 //!
 //! Naming convention: `<subsystem>.<thing>.<aspect>` in lowercase
-//! dot-separated segments (`tuner.cache.hit`, `table.fallback.depth`,
+//! dot-separated segments (`dataset.cache.hit`, `table.fallback.depth`,
 //! `train.tree.nodes`). Snapshots sort by name, so exported JSON is stable
 //! for a given set of touched metrics.
 

@@ -22,8 +22,8 @@
 //! {"v":"pml-serve/v1","id":6,"op":"shutdown"}
 //! ```
 //!
-//! `select` answers from the pre-computed tuning tables (memoized, the
-//! constant-time path); `predict` runs the pre-trained forest through the
+//! `select` answers from the pre-computed tuning tables (compiled at load,
+//! the constant-time path); `predict` runs the pre-trained forest through the
 //! request batcher for job shapes no table covers. `watch` streams
 //! periodic live-observability snapshots (windowed stage latencies, SLO
 //! burn rate, selection-quality monitor) as one `ok` frame per tick:
@@ -101,7 +101,7 @@ pub struct Request {
 /// The operations `pml-serve/v1` defines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
-    /// Tuning-table lookup (memoized constant-time path).
+    /// Tuning-table lookup (compiled at load, the constant-time path).
     Select {
         collective: Collective,
         job: JobConfig,

@@ -42,7 +42,7 @@ pub const STAGE_NAMES: [&str; 8] = [
 /// Time spent parsing the request frame.
 pub static STAGE_PARSE: WindowedHistogram =
     WindowedHistogram::new("serve.stage.parse_ns", &LATENCY_NS_BOUNDS, DEFAULT_SLOT_NS);
-/// Memoized tuning-table lookup (the `select` op's entire work).
+/// Compiled tuning-table lookup (the `select` op's entire work).
 pub static STAGE_SELECT: WindowedHistogram =
     WindowedHistogram::new("serve.stage.select_ns", &LATENCY_NS_BOUNDS, DEFAULT_SLOT_NS);
 /// `predict` only: submit → the batch worker dequeued the item.

@@ -3,7 +3,7 @@
 //! One process loads the tuning tables and pre-trained models once, then
 //! any number of clients connect over a Unix domain socket and speak
 //! [`crate::protocol`]. Every connection gets a thread; all threads share
-//! one [`Tuner`] (`select`, the memoized constant-time path) and one
+//! one [`Tuner`] (`select`, the constant-time table lookup) and one
 //! [`Batcher`] (`predict`, batched forest inference). Shutdown is
 //! cooperative: SIGTERM/SIGINT (via [`crate::signal`]) or a `shutdown`
 //! frame flips a flag, the accept loop stops, connection threads drain and
@@ -44,7 +44,7 @@ use std::time::Duration;
 static REQUESTS: Counter = Counter::new("serve.requests");
 static ERRORS: Counter = Counter::new("serve.errors");
 static CONNECTIONS: Counter = Counter::new("serve.connections");
-/// Daemon-side handling latency of the memoized `select` path.
+/// Daemon-side handling latency of the table-lookup `select` path.
 static SELECT_LATENCY: Histogram = Histogram::new("serve.select.latency_ns", &LATENCY_NS_BOUNDS);
 /// Daemon-side handling latency of the batched `predict` path.
 static PREDICT_LATENCY: Histogram = Histogram::new("serve.predict.latency_ns", &LATENCY_NS_BOUNDS);
@@ -773,7 +773,6 @@ fn watch_fields(shared: &Shared) -> Vec<(String, Value)> {
 }
 
 fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
-    let (hits, misses) = shared.tuner.stats();
     let names = |cs: &[Collective]| {
         Value::Array(
             cs.iter()
@@ -789,12 +788,6 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
         (
             "errors".to_string(),
             Value::UInt(shared.errors.load(Ordering::SeqCst)),
-        ),
-        ("cache_hits".to_string(), Value::UInt(hits)),
-        ("cache_misses".to_string(), Value::UInt(misses)),
-        (
-            "cached_decisions".to_string(),
-            Value::UInt(shared.tuner.cached_decisions() as u64),
         ),
         ("tables".to_string(), names(&shared.tuner.covered())),
         ("models".to_string(), names(&shared.model_coverage)),

@@ -196,8 +196,6 @@ impl LintConfig {
                 // The metrics registry (counters, gauges, histograms) and
                 // the span-id/tick counters around it.
                 "crates/obs/src/".into(),
-                // Tuner memo hit/miss counters, read after threads join.
-                "crates/core/src/tuner.rs".into(),
             ],
             // The forest kernels (compiled + exact) and everything the
             // selection path routes through them.

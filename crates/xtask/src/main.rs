@@ -7,7 +7,7 @@
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
 //! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
-//! cargo xtask tsan [filter]             # ThreadSanitizer lane (nightly) on the threaded executor
+//! cargo xtask tsan [filter]             # ThreadSanitizer lane (nightly) on the Tuner + serve daemon
 //! cargo xtask miri [filter]             # Miri lane (nightly) on mlcore + collectives unit tests
 //! ```
 
@@ -277,32 +277,39 @@ fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// ThreadSanitizer lane: the threaded executor's test suite under
-/// `-Zsanitizer=thread`. Needs the nightly toolchain + rust-src (sanitizers
-/// instrument std, so the target is rebuilt with `-Zbuild-std`).
+/// ThreadSanitizer lane: the workspace's shared-state concurrency under
+/// `-Zsanitizer=thread` — one `Tuner` shared by eight threads
+/// (`tests/concurrent_select.rs`), the tuner's unit tests, and the serve
+/// daemon's tests (connection threads, batcher, shared metrics). An
+/// optional filter narrows every suite. Needs the nightly toolchain +
+/// rust-src (sanitizers instrument std, so the target is rebuilt with
+/// `-Zbuild-std`).
 fn cmd_tsan(args: &[String]) -> Result<(), String> {
     let root = find_root()?;
     require_nightly_component("rust-src", "tsan")?;
-    let filter = args.first().map(String::as_str).unwrap_or("threaded");
     let target = host_target()?;
-    let mut c = Command::new("cargo");
-    c.current_dir(&root)
-        .env("RUSTFLAGS", "-Zsanitizer=thread")
-        // TSan intercepts at libc level; keep one test thread so rank
-        // threads are the only concurrency under test.
-        .env("RUST_TEST_THREADS", "1")
-        .args([
-            "+nightly",
-            "test",
-            "-p",
-            "pml-collectives",
-            "-Zbuild-std",
-            "--target",
-            &target,
-            "--",
-            filter,
-        ]);
-    run(c, "tsan lane")
+    let filter = args.first().map(String::as_str);
+    let suites: [(&str, &[&str], Option<&str>); 3] = [
+        ("pml-mpi", &["--test", "concurrent_select"], None),
+        ("pml-core", &["--lib"], Some("tuner::")),
+        ("pml-serve", &[], None),
+    ];
+    for (package, targets, default_filter) in suites {
+        let mut c = Command::new("cargo");
+        c.current_dir(&root)
+            .env("RUSTFLAGS", "-Zsanitizer=thread")
+            // TSan intercepts at libc level; keep one test thread so the
+            // threads a test spawns are the only concurrency under test.
+            .env("RUST_TEST_THREADS", "1")
+            .args(["+nightly", "test", "-p", package])
+            .args(targets)
+            .args(["-Zbuild-std", "--target", &target]);
+        if let Some(f) = filter.or(default_filter) {
+            c.args(["--", f]);
+        }
+        run(c, &format!("tsan lane ({package})"))?;
+    }
+    Ok(())
 }
 
 /// Miri lane: interpreter-checked unit tests for the ML core and the

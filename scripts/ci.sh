@@ -5,7 +5,7 @@
 # clean local run means a green check.
 #
 # Nightly-only dynamic-analysis lanes are separate (see the workflow):
-#   cargo xtask tsan    # ThreadSanitizer on the threaded executor
+#   cargo xtask tsan    # ThreadSanitizer on the shared Tuner + serve daemon
 #   cargo xtask miri    # Miri on mlcore + collectives unit tests
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1000,17 +1000,17 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
     let table = engine.tuning_table(cluster, coll)?;
 
     // Exercise the runtime path too: probe the fresh table on-grid (exact
-    // cell), repeated (memo hit), off-grid (nearest bucket), and at an odd
-    // shape, so the tuner counters and the fallback-depth histogram fill.
+    // cell), off-grid (nearest bucket), and at an odd shape, so the
+    // fallback-depth histogram fills.
     let tuner = Tuner::new([table.clone()]);
-    for &(nodes, ppn, msg) in &[(2u32, 4u32, 64usize), (2, 4, 64), (2, 4, 100), (3, 5, 777)] {
-        tuner.select(coll, JobConfig::new(nodes, ppn, msg));
+    println!("{cluster} {coll}: {} table cells", table.len());
+    for &(nodes, ppn, msg) in &[(2u32, 4u32, 64usize), (2, 4, 100), (3, 5, 777)] {
+        let (algo, depth) = tuner.select_traced(coll, JobConfig::new(nodes, ppn, msg));
+        println!(
+            "  probe ({nodes}, {ppn}, {msg}): {algo} (fallback depth {})",
+            depth.as_u64()
+        );
     }
-    let (hits, misses) = tuner.stats();
-    println!(
-        "{cluster} {coll}: {} table cells; tuner memo {hits} hit(s) / {misses} miss(es)",
-        table.len()
-    );
 
     // Events the pipeline emitted (cache recoveries and the like) — the
     // structured view behind `SelectionEngine::warnings()`.

@@ -1,6 +1,6 @@
-//! The sharded tuner cache must be invisible to callers: any number of
-//! threads hammering one shared `Tuner` have to get exactly the answers a
-//! single-threaded caller gets from a fresh one — same algorithm, same
+//! One shared `Tuner` must answer every thread alike: any number of
+//! threads hammering it have to get exactly the answers a single-threaded
+//! caller gets from a fresh one — same algorithm, same
 //! fallback depth, for exact-cell, nearest-bucket, substituted, and
 //! default-rules lookups alike. This is the concurrency contract the
 //! `pml-mpi serve` daemon leans on.
@@ -31,8 +31,8 @@ fn mixed_table() -> TuningTable {
 
 /// ≥1k lookups cycling through every fallback class: exact grid cells,
 /// off-grid shapes (nearest bucket), and a collective with no table at all
-/// (static default rules). Repeats are deliberate — they turn into memo
-/// hits under contention.
+/// (static default rules). Repeats are deliberate — many threads then read
+/// the same cells at once.
 fn mixed_jobs() -> Vec<(Collective, JobConfig)> {
     let nodes = [2u32, 3, 4, 7];
     let ppn = [4u32, 5, 8];
@@ -96,24 +96,4 @@ fn eight_threads_get_byte_identical_selections() {
             "thread {t} diverged from the single-threaded baseline"
         );
     }
-
-    // Accounting stayed exact under contention: every lookup was either a
-    // hit or a miss, and the memo holds one entry per distinct key.
-    let (hits, misses) = shared.stats();
-    assert_eq!(hits + misses, (THREADS * jobs.len()) as u64);
-    let distinct = {
-        let mut keys: Vec<_> = jobs
-            .iter()
-            .map(|&(c, j)| (c, j.nodes, j.ppn, j.msg_size))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    };
-    assert_eq!(shared.cached_decisions(), distinct);
-    assert_eq!(
-        misses as usize % distinct,
-        0,
-        "misses only on uncached keys"
-    );
 }
