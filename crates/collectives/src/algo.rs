@@ -2,7 +2,7 @@
 //! generation, classifiers, tuning tables) speaks in.
 
 use crate::schedcheck::SchedError;
-use crate::schedule::CommSchedule;
+use crate::schedule::{CommSchedule, ScheduleBuilder, ScheduleSink};
 use crate::{allgather, allreduce, alltoall, bcast};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -96,12 +96,7 @@ impl AllgatherAlgo {
     /// Generate the communication schedule. Errors with
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
     pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AllgatherAlgo::RecursiveDoubling => allgather::recursive_doubling::schedule(p, block),
-            AllgatherAlgo::Ring => Ok(allgather::ring::schedule(p, block)),
-            AllgatherAlgo::Bruck => Ok(allgather::bruck::schedule(p, block)),
-            AllgatherAlgo::NeighborExchange => allgather::neighbor_exchange::schedule(p, block),
-        }
+        Algorithm::Allgather(self).schedule(p, block)
     }
 
     /// Stable class index for ML labels (the position in [`Self::ALL`];
@@ -169,13 +164,7 @@ impl AlltoallAlgo {
     /// Generate the communication schedule. Errors with
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
     pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AlltoallAlgo::Bruck => Ok(alltoall::bruck::schedule(p, block)),
-            AlltoallAlgo::ScatterDest => Ok(alltoall::scatter_dest::schedule(p, block)),
-            AlltoallAlgo::Pairwise => Ok(alltoall::pairwise::schedule(p, block)),
-            AlltoallAlgo::RecursiveDoubling => alltoall::recursive_doubling::schedule(p, block),
-            AlltoallAlgo::Inplace => Ok(alltoall::inplace::schedule(p, block)),
-        }
+        Algorithm::Alltoall(self).schedule(p, block)
     }
 
     /// Stable class index for ML labels (the position in [`Self::ALL`];
@@ -235,11 +224,7 @@ impl BcastAlgo {
     /// Generate the communication schedule. Errors with
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
     pub fn schedule(self, p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            BcastAlgo::Binomial => Ok(bcast::binomial::schedule(p, msg)),
-            BcastAlgo::ScatterAllgather => Ok(bcast::scatter_allgather::schedule(p, msg)),
-            BcastAlgo::PipelinedRing => Ok(bcast::pipelined_ring::schedule(p, msg)),
-        }
+        Algorithm::Bcast(self).schedule(p, msg)
     }
 
     /// Stable class index for ML labels (the position in [`Self::ALL`];
@@ -297,11 +282,7 @@ impl AllreduceAlgo {
     /// Generate the communication schedule. Errors with
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
     pub fn schedule(self, p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AllreduceAlgo::RecursiveDoubling => allreduce::recursive_doubling::schedule(p, msg),
-            AllreduceAlgo::RingReduceScatter => Ok(allreduce::ring::schedule(p, msg)),
-            AllreduceAlgo::ReduceBroadcast => Ok(allreduce::reduce_broadcast::schedule(p, msg)),
-        }
+        Algorithm::Allreduce(self).schedule(p, msg)
     }
 
     /// Stable class index for ML labels (the position in [`Self::ALL`];
@@ -380,12 +361,54 @@ impl Algorithm {
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)` (e.g. recursive
     /// doubling at a non-power-of-two world size).
     pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            Algorithm::Allgather(a) => a.schedule(p, block),
-            Algorithm::Alltoall(a) => a.schedule(p, block),
-            Algorithm::Bcast(a) => a.schedule(p, block),
-            Algorithm::Allreduce(a) => a.schedule(p, block),
+        let mut sb = ScheduleBuilder::default();
+        self.emit(p, block, &mut sb)?;
+        Ok(sb.finish())
+    }
+
+    /// Stream the communication schedule into `sink` step by step (the
+    /// IR builder, or a cost sink that never materializes it). Errors
+    /// like [`Self::schedule`].
+    pub fn emit(
+        self,
+        p: u32,
+        block: usize,
+        sink: &mut impl ScheduleSink,
+    ) -> Result<(), SchedError> {
+        if !self.supports(p) {
+            return Err(SchedError::UnsupportedWorld { world: p });
         }
+        use {AllgatherAlgo as Ag, AllreduceAlgo as Ar, AlltoallAlgo as Aa, BcastAlgo as Bc};
+        match self {
+            Algorithm::Allgather(Ag::RecursiveDoubling) => {
+                allgather::recursive_doubling::emit(p, block, sink)
+            }
+            Algorithm::Allgather(Ag::Ring) => allgather::ring::emit(p, block, sink),
+            Algorithm::Allgather(Ag::Bruck) => allgather::bruck::emit(p, block, sink),
+            Algorithm::Allgather(Ag::NeighborExchange) => {
+                allgather::neighbor_exchange::emit(p, block, sink)
+            }
+            Algorithm::Alltoall(Aa::Bruck) => alltoall::bruck::emit(p, block, sink),
+            Algorithm::Alltoall(Aa::ScatterDest) => alltoall::scatter_dest::emit(p, block, sink),
+            Algorithm::Alltoall(Aa::Pairwise) => alltoall::pairwise::emit(p, block, sink),
+            Algorithm::Alltoall(Aa::RecursiveDoubling) => {
+                alltoall::recursive_doubling::emit(p, block, sink)
+            }
+            Algorithm::Alltoall(Aa::Inplace) => alltoall::inplace::emit(p, block, sink),
+            Algorithm::Bcast(Bc::Binomial) => bcast::binomial::emit(p, block, sink),
+            Algorithm::Bcast(Bc::ScatterAllgather) => {
+                bcast::scatter_allgather::emit(p, block, sink)
+            }
+            Algorithm::Bcast(Bc::PipelinedRing) => bcast::pipelined_ring::emit(p, block, sink),
+            Algorithm::Allreduce(Ar::RecursiveDoubling) => {
+                allreduce::recursive_doubling::emit(p, block, sink)
+            }
+            Algorithm::Allreduce(Ar::RingReduceScatter) => allreduce::ring::emit(p, block, sink),
+            Algorithm::Allreduce(Ar::ReduceBroadcast) => {
+                allreduce::reduce_broadcast::emit(p, block, sink)
+            }
+        }
+        Ok(())
     }
 
     /// Stable class index within the algorithm's collective.

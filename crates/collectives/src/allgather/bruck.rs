@@ -8,7 +8,7 @@
 //! classic large-message weakness and is faithfully charged by the cost
 //! model.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Bruck is defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -17,40 +17,46 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte contributions.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, b, pu * b, pu * b);
+    sb.begin(Geometry::new(p, b, b, pu * b, pu * b));
+    // Own block starts the accumulation at offset 0.
     for r in 0..p {
-        // Own block starts the accumulation at offset 0.
         sb.step(r, |s| s.copy(Region::input(0, b), Region::work(0, b)));
-        let mut cur = 1usize; // blocks accumulated so far
-        let mut k = 0u32;
-        while cur < pu {
-            let m = cur.min(pu - cur);
+    }
+    let mut cur = 1usize; // blocks accumulated so far
+    let mut k = 0u32;
+    while cur < pu {
+        let m = cur.min(pu - cur);
+        for r in 0..p {
             let to = (r + p - (1 << k)) % p;
             let from = (r + (1 << k)) % p;
             sb.step(r, |s| {
                 s.send(to, Region::work(0, m * b));
                 s.recv(from, Region::work(cur * b, m * b));
             });
-            cur += m;
-            k += 1;
         }
-        // Work[i] now holds block (r + i) mod p; rotate so block j sits at
-        // offset j·b. Identity when r == 0.
-        if r != 0 && p > 1 {
-            let ru = r as usize;
-            sb.step(r, |s| {
-                s.copy(
-                    Region::work(0, (pu - ru) * b),
-                    Region::aux(ru * b, (pu - ru) * b),
-                );
-                s.copy(Region::work((pu - ru) * b, ru * b), Region::aux(0, ru * b));
-                s.copy(Region::aux(0, pu * b), Region::work(0, pu * b));
-            });
-        }
+        cur += m;
+        k += 1;
     }
-    sb.finish()
+    // Work[i] now holds block (r + i) mod p; rotate so block j sits at
+    // offset j·b. Identity when r == 0.
+    for r in 1..p {
+        let ru = r as usize;
+        sb.step(r, |s| {
+            s.copy(
+                Region::work(0, (pu - ru) * b),
+                Region::aux(ru * b, (pu - ru) * b),
+            );
+            s.copy(Region::work((pu - ru) * b, ru * b), Region::aux(0, ru * b));
+            s.copy(Region::aux(0, pu * b), Region::work(0, pu * b));
+        });
+    }
 }
 
 #[cfg(test)]

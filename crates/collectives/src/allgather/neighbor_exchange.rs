@@ -11,7 +11,7 @@
 //! transfers. Requires an even world size.
 
 use crate::schedcheck::SchedError;
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for even world sizes (and the degenerate p = 1).
 pub fn supports(p: u32) -> bool {
@@ -26,30 +26,39 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
     if !supports(p) {
         return Err(SchedError::UnsupportedWorld { world: p });
     }
+    Ok(ScheduleBuilder::build(|sb| emit(p, block, sb)))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+/// `p` must satisfy [`supports`].
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, b, pu * b, 0);
+    sb.begin(Geometry::new(p, b, b, pu * b, 0));
     let q = p / 2; // number of block pairs
     for r in 0..p {
         sb.step(r, |s| {
             s.copy(Region::input(0, b), Region::work(r as usize * b, b))
         });
-        if p == 1 {
-            continue;
-        }
-        let even = r.is_multiple_of(2);
-        // Round 0: swap single own blocks with the fixed first neighbour.
-        let first = if even { r + 1 } else { r - 1 };
+    }
+    if p == 1 {
+        return;
+    }
+    // Round 0: swap single own blocks with the fixed first neighbour.
+    for r in 0..p {
+        let first = if r.is_multiple_of(2) { r + 1 } else { r - 1 };
         sb.step(r, |s| {
             s.send(first, Region::work(r as usize * b, b));
             s.recv(first, Region::work(first as usize * b, b));
         });
-        // Rounds 1..q: forward the pair received last round to alternating
-        // neighbours. Pair indices follow the closed form derived from the
-        // exchange pattern (validated exhaustively in tests).
-        let mut last_pair = r / 2;
-        for s_idx in 1..q {
-            let (partner, recv_pair) = if even {
+    }
+    // Rounds 1..q: forward the pair received last round to alternating
+    // neighbours. Pair indices follow the closed form derived from the
+    // exchange pattern (validated exhaustively in tests).
+    let mut last_pair: Vec<u32> = (0..p).map(|r| r / 2).collect();
+    for s_idx in 1..q {
+        for r in 0..p {
+            let (partner, recv_pair) = if r.is_multiple_of(2) {
                 if !s_idx.is_multiple_of(2) {
                     ((r + p - 1) % p, last_pair_sub(r / 2, s_idx.div_ceil(2), q))
                 } else {
@@ -60,16 +69,15 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
             } else {
                 ((r + p - 1) % p, last_pair_sub(r / 2, s_idx / 2, q))
             };
-            let send_off = 2 * last_pair as usize * b;
+            let send_off = 2 * last_pair[r as usize] as usize * b;
             let recv_off = 2 * recv_pair as usize * b;
             sb.step(r, |st| {
                 st.send(partner, Region::work(send_off, 2 * b));
                 st.recv(partner, Region::work(recv_off, 2 * b));
             });
-            last_pair = recv_pair;
+            last_pair[r as usize] = recv_pair;
         }
     }
-    Ok(sb.finish())
 }
 
 /// (a - d) mod q on u32 without underflow.

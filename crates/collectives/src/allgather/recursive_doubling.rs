@@ -7,7 +7,7 @@
 //! otherwise, and so does our registry).
 
 use crate::schedcheck::SchedError;
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Whether this algorithm is defined for `p` ranks.
 pub fn supports(p: u32) -> bool {
@@ -22,15 +22,23 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
     if !supports(p) {
         return Err(SchedError::UnsupportedWorld { world: p });
     }
+    Ok(ScheduleBuilder::build(|sb| emit(p, block, sb)))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+/// `p` must satisfy [`supports`].
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
-    let mut sb = ScheduleBuilder::new(p, b, b, p as usize * b, 0);
+    sb.begin(Geometry::new(p, b, b, p as usize * b, 0));
     for r in 0..p {
         sb.step(r, |s| {
             s.copy(Region::input(0, b), Region::work(r as usize * b, b))
         });
-        let mut k = 0u32;
-        while (1 << k) < p {
-            let size = 1usize << k;
+    }
+    let mut k = 0u32;
+    while (1 << k) < p {
+        let size = 1usize << k;
+        for r in 0..p {
             let partner = r ^ (1 << k);
             let my_off = (((r >> k) << k) as usize) * b;
             let partner_off = (((partner >> k) << k) as usize) * b;
@@ -38,10 +46,9 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
                 s.send(partner, Region::work(my_off, size * b));
                 s.recv(partner, Region::work(partner_off, size * b));
             });
-            k += 1;
         }
+        k += 1;
     }
-    Ok(sb.finish())
 }
 
 #[cfg(test)]

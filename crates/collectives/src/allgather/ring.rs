@@ -5,7 +5,7 @@
 //! own block first). Bandwidth-optimal (each rank sends exactly (p−1)·b
 //! bytes) but latency-bound at small sizes: p−1 rounds.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// The ring is defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -14,18 +14,22 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte contributions.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
-    let mut sb = ScheduleBuilder::new(p, b, b, p as usize * b, 0);
+    sb.begin(Geometry::new(p, b, b, p as usize * b, 0));
     for r in 0..p {
         sb.step(r, |s| {
             s.copy(Region::input(0, b), Region::work(r as usize * b, b))
         });
-        if p == 1 {
-            continue;
-        }
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        for k in 0..p - 1 {
+    }
+    for k in 0..p.saturating_sub(1) {
+        for r in 0..p {
+            let right = (r + 1) % p;
+            let left = (r + p - 1) % p;
             let send_blk = ((r + p - k) % p) as usize;
             let recv_blk = ((r + p - 1 - k) % p) as usize;
             sb.step(r, |s| {
@@ -34,7 +38,6 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
             });
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

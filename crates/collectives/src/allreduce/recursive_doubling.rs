@@ -6,7 +6,7 @@
 //! choice. Power-of-two worlds only.
 
 use crate::schedcheck::SchedError;
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for power-of-two world sizes.
 pub fn supports(p: u32) -> bool {
@@ -21,28 +21,32 @@ pub fn schedule(p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
     if !supports(p) {
         return Err(SchedError::UnsupportedWorld { world: p });
     }
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, msg);
-    sb.work_initialized_from_input();
-    for r in 0..p {
-        let mut k = 0u32;
-        let mut pending = false;
-        while (1u32 << k) < p {
+    Ok(ScheduleBuilder::build(|sb| emit(p, msg, sb)))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+/// `p` must satisfy [`supports`].
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
+    sb.begin(Geometry::new(p, msg, msg, msg, msg).in_place());
+    let mut k = 0u32;
+    while (1u32 << k) < p {
+        for r in 0..p {
             let partner = r ^ (1 << k);
             sb.step(r, |s| {
-                if pending {
+                if k > 0 {
                     s.combine(Region::aux(0, msg), Region::work(0, msg));
                 }
                 s.send(partner, Region::work(0, msg));
                 s.recv(partner, Region::aux(0, msg));
             });
-            pending = true;
-            k += 1;
         }
-        if pending {
+        k += 1;
+    }
+    if p > 1 {
+        for r in 0..p {
             sb.step(r, |s| s.combine(Region::aux(0, msg), Region::work(0, msg)));
         }
     }
-    Ok(sb.finish())
 }
 
 #[cfg(test)]

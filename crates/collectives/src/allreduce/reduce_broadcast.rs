@@ -7,7 +7,7 @@
 //! small sizes, dominated elsewhere; included because MPI libraries ship
 //! it and a tuner must know when *not* to pick it.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -16,44 +16,51 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks reducing `msg`-byte vectors.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, msg);
-    sb.work_initialized_from_input();
+    ScheduleBuilder::build(|sb| emit(p, msg, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
+    sb.begin(Geometry::new(p, msg, msg, msg, msg).in_place());
     let rounds = if p <= 1 {
         0
     } else {
         32 - (p - 1).leading_zeros()
     };
-    for r in 0..p {
-        // Phase 1: reduce to rank 0. Rank r (> 0) sends in round
-        // trailing_zeros(r); before that it receives and folds.
-        let send_round = if r == 0 { rounds } else { r.trailing_zeros() };
-        let mut pending = false;
-        for k in 0..send_round {
-            let bit = 1u32 << k;
-            if r + bit < p {
+    // Phase 1: reduce to rank 0. Rank r (> 0) sends in round
+    // trailing_zeros(r); before that it receives and folds. `pending`
+    // marks a received vector not yet folded in.
+    let mut pending = vec![false; p as usize];
+    for k in 0..rounds {
+        let bit = 1u32 << k;
+        for r in 0..p {
+            let send_round = if r == 0 { rounds } else { r.trailing_zeros() };
+            let fold = pending[r as usize];
+            if k < send_round && r + bit < p {
                 sb.step(r, |s| {
-                    if pending {
+                    if fold {
                         s.combine(Region::aux(0, msg), Region::work(0, msg));
                     }
                     s.recv(r + bit, Region::aux(0, msg));
                 });
-                pending = true;
+                pending[r as usize] = true;
+            } else if k == send_round {
+                sb.step(r, |s| {
+                    if fold {
+                        s.combine(Region::aux(0, msg), Region::work(0, msg));
+                    }
+                    s.send(r - bit, Region::work(0, msg));
+                });
             }
         }
-        if r != 0 {
-            let bit = 1u32 << send_round;
-            sb.step(r, |s| {
-                if pending {
-                    s.combine(Region::aux(0, msg), Region::work(0, msg));
-                }
-                s.send(r - bit, Region::work(0, msg));
-            });
-        } else if pending {
-            sb.step(r, |s| s.combine(Region::aux(0, msg), Region::work(0, msg)));
-        }
-        // Phase 2: binomial broadcast of the reduced vector.
-        for k in 0..rounds {
-            let bit = 1u32 << k;
+    }
+    if pending.first() == Some(&true) {
+        sb.step(0, |s| s.combine(Region::aux(0, msg), Region::work(0, msg)));
+    }
+    // Phase 2: binomial broadcast of the reduced vector.
+    for k in 0..rounds {
+        let bit = 1u32 << k;
+        for r in 0..p {
             if r < bit && r + bit < p {
                 sb.step(r, |s| s.send(r + bit, Region::work(0, msg)));
             } else if r >= bit && r < bit << 1 {
@@ -61,7 +68,6 @@ pub fn schedule(p: u32, msg: usize) -> CommSchedule {
             }
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! Chunk boundaries depend on `msg mod p`, so these schedules are **not**
 //! unit-scale invariant.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -34,50 +34,55 @@ fn chunk_range(msg: usize, p: u32, c: u32) -> (usize, usize) {
 
 /// Build the schedule for `p` ranks reducing `msg`-byte vectors.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, msg, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
     let max_chunk = msg.div_ceil(p.max(1) as usize);
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, max_chunk.max(1));
-    sb.work_initialized_from_input();
+    sb.begin(Geometry::new(p, msg, msg, msg, max_chunk.max(1)).in_place());
     if p == 1 {
-        return sb.finish();
+        return;
     }
-    for r in 0..p {
-        let right = (r + 1) % p;
-        let left = (r + p - 1) % p;
-        // Reduce-scatter: step k sends the running sum of chunk (r−k) and
-        // receives chunk (r−k−1), folding it in at the start of the next
-        // step (phase discipline: combines precede sends).
-        let mut pending: Option<(usize, usize)> = None; // (work offset, len)
-        for k in 0..p - 1 {
+    // Reduce-scatter: step k sends the running sum of chunk (r−k) and
+    // receives chunk (r−k−1), folding it in at the start of the next
+    // step (phase discipline: combines precede sends). `pending[r]` is
+    // rank r's received chunk not yet folded in: (work offset, len).
+    let mut pending: Vec<Option<(usize, usize)>> = vec![None; p as usize];
+    for k in 0..p - 1 {
+        for r in 0..p {
             let send_c = (r + p - k) % p;
             let recv_c = (r + p - 1 - k) % p;
             let (soff, slen) = chunk_range(msg, p, send_c);
             let (roff, rlen) = chunk_range(msg, p, recv_c);
+            let fold = pending[r as usize].replace((roff, rlen));
             sb.step(r, |s| {
-                if let Some((poff, plen)) = pending {
+                if let Some((poff, plen)) = fold {
                     s.combine(Region::aux(0, plen), Region::work(poff, plen));
                 }
-                s.send(right, Region::work(soff, slen));
-                s.recv(left, Region::aux(0, rlen));
+                s.send((r + 1) % p, Region::work(soff, slen));
+                s.recv((r + p - 1) % p, Region::aux(0, rlen));
             });
-            pending = Some((roff, rlen));
         }
-        // Allgather: step k sends finished chunk (r+1−k) and receives
-        // chunk (r−k); the first step also folds the final partial.
-        for k in 0..p - 1 {
+    }
+    // Allgather: step k sends finished chunk (r+1−k) and receives
+    // chunk (r−k); the first step also folds the final partial.
+    for k in 0..p - 1 {
+        for r in 0..p {
             let send_c = (r + 1 + p - k) % p;
             let recv_c = (r + p - k) % p;
             let (soff, slen) = chunk_range(msg, p, send_c);
             let (roff, rlen) = chunk_range(msg, p, recv_c);
+            let fold = pending[r as usize].take();
             sb.step(r, |s| {
-                if let Some((poff, plen)) = pending.take() {
+                if let Some((poff, plen)) = fold {
                     s.combine(Region::aux(0, plen), Region::work(poff, plen));
                 }
-                s.send(right, Region::work(soff, slen));
-                s.recv(left, Region::work(roff, rlen));
+                s.send((r + 1) % p, Region::work(soff, slen));
+                s.recv((r + p - 1) % p, Region::work(roff, rlen));
             });
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! packing traffic ⇒ loses once messages outgrow the cache — the behaviour
 //! Fig. 2 of the paper shows flipping between Frontera and MRI.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder, StepBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink, StepBuilder};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -26,16 +26,21 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
     // Aux layout: [0 .. half·b) packed send staging, [half·b .. 2·half·b)
     // receive staging, [2·half·b .. 2·half·b + p·b) final-permutation staging.
     let half = pu.div_ceil(2);
     let aux_len = (2 * half + pu) * b;
-    let mut sb = ScheduleBuilder::new(p, b, pu * b, pu * b, aux_len);
+    sb.begin(Geometry::new(p, b, pu * b, pu * b, aux_len));
+    // Phase 1: rotation. Slot j := input block (r + j) mod p.
     for r in 0..p {
         let ru = r as usize;
-        // Phase 1: rotation. Slot j := input block (r + j) mod p.
         sb.step(r, |s| {
             s.copy(
                 Region::input(ru * b, (pu - ru) * b),
@@ -48,15 +53,18 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
                 );
             }
         });
-        // Phase 2: rounds. `pending` = slots received last round, currently
-        // staged in aux and unpacked at the start of the next step.
-        let mut pending: Vec<usize> = Vec::new();
-        let mut pending_off = 0usize;
-        let mut k = 0u32;
-        while (1u32 << k) < p {
-            let bit = 1usize << k;
-            let send_slots: Vec<usize> = (0..pu).filter(|j| j & bit != 0).collect();
-            let m = send_slots.len();
+    }
+    // Phase 2: rounds. `pending` = slots received last round, currently
+    // staged in aux and unpacked at the start of the next step (the same
+    // slot set on every rank).
+    let mut pending: Vec<usize> = Vec::new();
+    let mut pending_off = 0usize;
+    let mut k = 0u32;
+    while (1u32 << k) < p {
+        let bit = 1usize << k;
+        let send_slots: Vec<usize> = (0..pu).filter(|j| j & bit != 0).collect();
+        let m = send_slots.len();
+        for r in 0..p {
             let to = (r + (1 << k)) % p;
             let from = (r + p - (1 << k)) % p;
             sb.step(r, |s| {
@@ -65,13 +73,16 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
                 s.send(to, Region::aux(0, m * b));
                 s.recv(from, Region::aux(m * b, m * b));
             });
-            pending = send_slots;
-            pending_off = m * b;
-            k += 1;
         }
-        // Phase 3: unpack the final round, then invert: the block in slot j
-        // originates from (r − j) mod p and must land at Work[origin·b].
-        let perm_base = 2 * half * b;
+        pending = send_slots;
+        pending_off = m * b;
+        k += 1;
+    }
+    // Phase 3: unpack the final round, then invert: the block in slot j
+    // originates from (r − j) mod p and must land at Work[origin·b].
+    let perm_base = 2 * half * b;
+    for r in 0..p {
+        let ru = r as usize;
         sb.step(r, |s| {
             unpack(s, &pending, pending_off, b);
             if pu > 1 {
@@ -86,7 +97,6 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
             }
         });
     }
-    sb.finish()
 }
 
 /// Copy `slots` (maximally coalesced into contiguous runs) from Work into

@@ -12,7 +12,7 @@
 //! partners 0, 1, …, r−1, r+1, …, p−1 in that order (XOR pairing for
 //! power-of-two worlds, which aligns both sides' rounds).
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -21,27 +21,39 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`, both sides of one exchange at a time:
+/// round by round for power-of-two worlds, otherwise pair by pair in
+/// lexicographic order — which visits each rank's partners in exactly
+/// its own program order.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, pu * b, pu * b, b);
-    sb.work_initialized_from_input();
-    let pow2 = p.is_power_of_two();
-    for r in 0..p {
-        let partners: Vec<u32> = if pow2 {
-            (1..p).map(|k| r ^ k).collect()
-        } else {
-            (0..p).filter(|&q| q != r).collect()
-        };
-        for partner in partners {
-            let slot = partner as usize * b;
-            sb.step(r, |s| {
-                s.copy(Region::work(slot, b), Region::aux(0, b));
-                s.send(partner, Region::aux(0, b));
-                s.recv(partner, Region::work(slot, b));
-            });
+    sb.begin(Geometry::new(p, b, pu * b, pu * b, b).in_place());
+    let mut exchange = |r: u32, partner: u32| {
+        let slot = partner as usize * b;
+        sb.step(r, |s| {
+            s.copy(Region::work(slot, b), Region::aux(0, b));
+            s.send(partner, Region::aux(0, b));
+            s.recv(partner, Region::work(slot, b));
+        });
+    };
+    if p.is_power_of_two() {
+        for k in 1..p {
+            for r in 0..p {
+                exchange(r, r ^ k);
+            }
+        }
+    } else {
+        for r in 0..p {
+            for q in r + 1..p {
+                exchange(r, q);
+                exchange(q, r);
+            }
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

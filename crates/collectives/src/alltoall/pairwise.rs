@@ -7,7 +7,7 @@
 //! MPICH. One in-flight message per rank per round keeps NIC pressure at its
 //! minimum — the large-message workhorse.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -16,9 +16,14 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, pu * b, pu * b, 0);
+    sb.begin(Geometry::new(p, b, pu * b, pu * b, 0));
     let pow2 = p.is_power_of_two();
     for r in 0..p {
         sb.step(r, |s| {
@@ -27,7 +32,9 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
                 Region::work(r as usize * b, b),
             )
         });
-        for k in 1..p {
+    }
+    for k in 1..p {
+        for r in 0..p {
             let (to, from) = if pow2 {
                 (r ^ k, r ^ k)
             } else {
@@ -39,7 +46,6 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
             });
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

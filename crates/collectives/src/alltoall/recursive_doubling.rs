@@ -19,7 +19,7 @@
 //! order, so the packed buffer needs no header.
 
 use crate::schedcheck::SchedError;
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for power-of-two world sizes.
 pub fn supports(p: u32) -> bool {
@@ -60,11 +60,17 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
     if !supports(p) {
         return Err(SchedError::UnsupportedWorld { world: p });
     }
+    Ok(ScheduleBuilder::build(|sb| emit(p, block, sb)))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+/// `p` must satisfy [`supports`].
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
     let half = pu / 2;
     // Aux: [0..half·b) send staging, [half·b..2·half·b) receive staging.
-    let mut sb = ScheduleBuilder::new(p, b, pu * b, pu * b, (2 * half).max(1) * b);
+    sb.begin(Geometry::new(p, b, pu * b, pu * b, (2 * half).max(1) * b));
 
     // Initial layout: slot(r, d, 0) = d, i.e. Work = Input verbatim.
     for r in 0..p {
@@ -77,7 +83,6 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
     while (1u32 << k) < p {
         let bit = 1u32 << k;
         let mask = bit - 1;
-        let mask2 = (bit << 1) - 1;
         let prev_bit = bit >> 1;
         for r in 0..p {
             let partner = r ^ bit;
@@ -102,7 +107,6 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
                 s.recv(partner, Region::aux(half * b, m * b));
             });
         }
-        let _ = mask2;
         k += 1;
     }
 
@@ -123,7 +127,6 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
             });
         }
     }
-    Ok(sb.finish())
 }
 
 #[cfg(test)]

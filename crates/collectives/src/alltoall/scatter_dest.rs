@@ -11,7 +11,7 @@
 //! Sends are staggered as (r + k) mod p, k = 1..p — the classic rotation
 //! that avoids every rank hammering rank 0 first.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -20,9 +20,14 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
+    ScheduleBuilder::build(|sb| emit(p, block, sb))
+}
+
+/// Emit the schedule into `sb`.
+pub(crate) fn emit(p: u32, block: usize, sb: &mut impl ScheduleSink) {
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, pu * b, pu * b, 0);
+    sb.begin(Geometry::new(p, b, pu * b, pu * b, 0));
     for r in 0..p {
         sb.step(r, |s| {
             s.copy(
@@ -39,7 +44,6 @@ pub fn schedule(p: u32, block: usize) -> CommSchedule {
             }
         });
     }
-    sb.finish()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! small and medium messages; the full payload crosses every tree edge, so
 //! large messages want the pipelined or scatter-based variants instead.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -14,23 +14,27 @@ pub fn supports(_p: u32) -> bool {
 
 /// Build the schedule for `p` ranks and a `msg`-byte payload from rank 0.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, 0);
-    for r in 0..p {
-        if r == 0 {
-            sb.step(r, |s| s.copy(Region::input(0, msg), Region::work(0, msg)));
-        }
-        let mut k = 0u32;
-        while (1u32 << k) < p {
-            let bit = 1u32 << k;
+    ScheduleBuilder::build(|sb| emit(p, msg, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
+    sb.begin(Geometry::new(p, msg, msg, msg, 0));
+    if p > 0 {
+        sb.step(0, |s| s.copy(Region::input(0, msg), Region::work(0, msg)));
+    }
+    let mut k = 0u32;
+    while (1u32 << k) < p {
+        let bit = 1u32 << k;
+        for r in 0..p {
             if r < bit && r + bit < p {
                 sb.step(r, |s| s.send(r + bit, Region::work(0, msg)));
             } else if r >= bit && r < bit << 1 {
                 sb.step(r, |s| s.recv(r - bit, Region::work(0, msg)));
             }
-            k += 1;
         }
+        k += 1;
     }
-    sb.finish()
 }
 
 #[cfg(test)]

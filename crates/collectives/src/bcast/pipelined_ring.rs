@@ -9,7 +9,7 @@
 //! Segment boundaries depend on `msg mod SEGMENTS`, so these schedules are
 //! **not** unit-scale invariant.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Pipeline depth.
 pub const SEGMENTS: usize = 8;
@@ -31,7 +31,13 @@ fn seg_range(msg: usize, i: usize) -> (usize, usize) {
 
 /// Build the schedule for `p` ranks and a `msg`-byte payload from rank 0.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, 0);
+    ScheduleBuilder::build(|sb| emit(p, msg, sb))
+}
+
+/// Emit the schedule into `sb` rank by rank: down a chain that order is
+/// already topological, and at most one rank's segments are in flight.
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
+    sb.begin(Geometry::new(p, msg, msg, msg, 0));
     for r in 0..p {
         if r == 0 {
             sb.step(r, |s| s.copy(Region::input(0, msg), Region::work(0, msg)));
@@ -61,7 +67,6 @@ pub fn schedule(p: u32, msg: usize) -> CommSchedule {
             }
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! Chunk boundaries depend on `msg mod p`, so these schedules are **not**
 //! unit-scale invariant (see `Algorithm::scale_invariant`).
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder, ScheduleSink};
 
 /// Defined for any world size.
 pub fn supports(_p: u32) -> bool {
@@ -36,20 +36,25 @@ fn chunk_range(msg: usize, p: u32, lo: u32, hi: u32) -> (usize, usize) {
 
 /// Build the schedule for `p` ranks and a `msg`-byte payload from rank 0.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(p, msg, msg, msg, 0);
+    ScheduleBuilder::build(|sb| emit(p, msg, sb))
+}
+
+/// Emit the schedule into `sb`, one round across all ranks at a time.
+pub(crate) fn emit(p: u32, msg: usize, sb: &mut impl ScheduleSink) {
+    sb.begin(Geometry::new(p, msg, msg, msg, 0));
     let rounds = if p <= 1 {
         0
     } else {
         32 - (p - 1).leading_zeros()
     };
-    for r in 0..p {
-        if r == 0 {
-            sb.step(r, |s| s.copy(Region::input(0, msg), Region::work(0, msg)));
-        }
-        // Binomial scatter, high distance first: after receiving its chunk
-        // range [r, r + 2^k_r), a rank halves and forwards the upper part.
-        for k in (0..rounds).rev() {
-            let bit = 1u32 << k;
+    if p > 0 {
+        sb.step(0, |s| s.copy(Region::input(0, msg), Region::work(0, msg)));
+    }
+    // Binomial scatter, high distance first: after receiving its chunk
+    // range [r, r + 2^k_r), a rank halves and forwards the upper part.
+    for k in (0..rounds).rev() {
+        let bit = 1u32 << k;
+        for r in 0..p {
             if r % (bit << 1) == 0 && r + bit < p {
                 // Send chunks [r+bit, min(r+2bit, p)) to r+bit.
                 let hi = (r + (bit << 1)).min(p);
@@ -61,23 +66,22 @@ pub fn schedule(p: u32, msg: usize) -> CommSchedule {
                 sb.step(r, |s| s.recv(r - bit, Region::work(off, len)));
             }
         }
-        // Ring allgather over the chunks.
-        if p > 1 {
+    }
+    // Ring allgather over the chunks.
+    for k in 0..p.saturating_sub(1) {
+        for r in 0..p {
             let right = (r + 1) % p;
             let left = (r + p - 1) % p;
-            for k in 0..p - 1 {
-                let send_chunk = (r + p - k) % p;
-                let recv_chunk = (r + p - 1 - k) % p;
-                let (soff, slen) = chunk_range(msg, p, send_chunk, send_chunk + 1);
-                let (roff, rlen) = chunk_range(msg, p, recv_chunk, recv_chunk + 1);
-                sb.step(r, |s| {
-                    s.send(right, Region::work(soff, slen));
-                    s.recv(left, Region::work(roff, rlen));
-                });
-            }
+            let send_chunk = (r + p - k) % p;
+            let recv_chunk = (r + p - 1 - k) % p;
+            let (soff, slen) = chunk_range(msg, p, send_chunk, send_chunk + 1);
+            let (roff, rlen) = chunk_range(msg, p, recv_chunk, recv_chunk + 1);
+            sb.step(r, |s| {
+                s.send(right, Region::work(soff, slen));
+                s.recv(left, Region::work(roff, rlen));
+            });
         }
     }
-    sb.finish()
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 //!
 //! Nine algorithms from the paper's §III are implemented from scratch:
 //! four for `MPI_Allgather` ([`allgather`]) and five for `MPI_Alltoall`
-//! ([`alltoall`]). Each is a *schedule generator* producing the
-//! [`schedule::CommSchedule`] IR, which two executors consume:
+//! ([`alltoall`]). Each is a *schedule generator* emitting its steps
+//! through [`schedule::ScheduleSink`]: either into the
+//! [`schedule::CommSchedule`] IR, or straight into a static cost
+//! polynomial ([`schedcost::CostSink`]). Two executors consume the IR:
 //!
 //! * [`exec::interp`] — sequential, byte-accurate (correctness oracle);
 //! * [`exec::sim`] — virtual time against a [`pml_simnet::CostModel`]

@@ -1,6 +1,8 @@
 //! Analytic algorithm ranking: memoized polynomials × fitted constants.
 //!
-//! The polynomial for a scale-invariant algorithm is extracted **once**
+//! Polynomials are streamed straight from the schedule generators
+//! ([`stream_poly`]); no schedule IR is built on this path. The
+//! polynomial for a scale-invariant algorithm is extracted **once**
 //! per (algorithm, layout) at unit block and reused across the whole
 //! message-size sweep (the same trick `measure_sweep` plays with
 //! `run_scaled`); the chunked bcast/allreduce variants, whose schedule
@@ -9,8 +11,8 @@
 //! the property the obs-determinism CI lane pins for the selector tier
 //! built on top of this.
 
-use super::extract::extract_poly;
 use super::fit::cached_params;
+use super::stream::stream_poly;
 use super::CostPoly;
 use crate::algo::{Algorithm, Collective};
 use pml_obs::Counter;
@@ -21,6 +23,10 @@ use std::sync::{OnceLock, RwLock};
 /// Polynomial-cache hits.
 static POLY_HITS: Counter = Counter::new("schedcost.cache.poly_hits");
 
+/// Registered algorithms whose schedule failed extraction — each one
+/// silently missing from a ranking. Expected to stay 0.
+static EXTRACT_ERRORS: Counter = Counter::new("schedcost.extract_errors");
+
 type PolyKey = (Collective, usize, u32, u32, usize);
 
 /// Process-wide polynomial cache: (collective, algo index, nodes, ppn,
@@ -30,8 +36,8 @@ static POLYS: OnceLock<RwLock<BTreeMap<PolyKey, CostPoly>>> = OnceLock::new();
 
 /// The cost polynomial of `algo` at this layout and message size, from
 /// cache when possible. `None` when the algorithm is undefined at the
-/// layout's world size (or its schedule fails extraction, which the
-/// schedcheck CI grid rules out for every registered algorithm).
+/// layout's world size, or when its schedule fails extraction (counted
+/// in `schedcost.extract_errors`; the differential tests hold it at 0).
 pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPoly> {
     let p = layout.world_size();
     if !algo.supports(p) {
@@ -56,8 +62,10 @@ pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPo
             return Some(*poly);
         }
     }
-    let schedule = algo.schedule(p, block).ok()?;
-    let poly = extract_poly(&schedule, layout).ok()?;
+    let Ok(poly) = stream_poly(algo, layout, block) else {
+        EXTRACT_ERRORS.inc();
+        return None;
+    };
     if let Ok(mut guard) = cache.write() {
         guard.insert(key, poly);
     }

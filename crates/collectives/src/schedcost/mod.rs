@@ -44,16 +44,105 @@ mod analytic;
 mod differential;
 mod extract;
 mod fit;
+mod stream;
 
 pub use analytic::{best_static, cost_for, poly_for, rank_static};
 pub use differential::{cell_layout, differential_report, sim_time, DiffCell, DiffReport};
 pub use extract::{doc_cost, extract_poly};
 pub use fit::{cached_params, fit_params};
+pub use stream::{stream_poly, CostSink};
 
 use crate::schedcheck::SchedError;
+use crate::schedule::Op;
+use pml_obs::Counter;
 use pml_simnet::CostParams;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Polynomials extracted (cache misses included, cache hits not), by
+/// either path.
+static POLYS_EXTRACTED: Counter = Counter::new("schedcost.polys");
+
+/// Metric indices inside the DP vector.
+const NET_ROUNDS: usize = 0;
+const SHM_ROUNDS: usize = 1;
+const NET_BYTES: usize = 2;
+const SHM_BYTES: usize = 3;
+const REDUCE_BYTES: usize = 4;
+const COPY_BYTES: usize = 5;
+const NET_MSGS: usize = 6;
+const SHM_MSGS: usize = 7;
+const METRICS: usize = 8;
+
+/// One longest-path value: every metric maximized independently.
+type Dp = [u64; METRICS];
+
+/// What one step adds to the longest-path walk: `[post, complete]`.
+///
+/// Costs are charged receiver-side, mirroring the virtual-time
+/// executor's accounting. Posting pays the step's `Copy` (pack) and
+/// `Combine` (reduction) bytes. Completing pays one full latency term per
+/// traffic class that delivers at least one receive, plus the received
+/// bytes. Every message beyond the first in a phase (posted or
+/// completed) is marginal per-message handling, not a fresh round trip —
+/// that is what makes single-step fan-in/fan-out schedules cheaper than
+/// one round per peer. `local(peer)` says whether `peer` shares the
+/// stepping rank's node.
+fn step_weights(ops: &[Op], local: impl Fn(u32) -> bool) -> [Dp; 2] {
+    let (mut post, mut done) = ([0u64; METRICS], [0u64; METRICS]);
+    let (mut net_sends, mut shm_sends, mut net_recvs, mut shm_recvs) = (0u64, 0u64, 0u64, 0u64);
+    for op in ops {
+        match op {
+            Op::Copy { src, .. } => post[COPY_BYTES] += src.len as u64,
+            Op::Combine { src, .. } => post[REDUCE_BYTES] += src.len as u64,
+            Op::Send { to, .. } if local(*to) => shm_sends += 1,
+            Op::Send { .. } => net_sends += 1,
+            Op::Recv { from, region, .. } if local(*from) => {
+                shm_recvs += 1;
+                done[SHM_BYTES] += region.len as u64;
+            }
+            Op::Recv { region, .. } => {
+                net_recvs += 1;
+                done[NET_BYTES] += region.len as u64;
+            }
+        }
+    }
+    post[NET_MSGS] = net_sends.saturating_sub(1);
+    post[SHM_MSGS] = shm_sends.saturating_sub(1);
+    done[NET_ROUNDS] = (net_recvs > 0) as u64;
+    done[SHM_ROUNDS] = (shm_recvs > 0) as u64;
+    done[NET_MSGS] = net_recvs.saturating_sub(1);
+    done[SHM_MSGS] = shm_recvs.saturating_sub(1);
+    [post, done]
+}
+
+fn dp_add(a: &mut Dp, b: &Dp) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+}
+
+fn dp_max(a: &mut Dp, b: &Dp) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = (*x).max(*y);
+    }
+}
+
+/// The polynomial from the longest-path maxima and the heaviest NIC.
+fn poly_of(max: &Dp, nic_bytes: u64) -> CostPoly {
+    POLYS_EXTRACTED.inc();
+    CostPoly {
+        net_rounds: max[NET_ROUNDS],
+        shm_rounds: max[SHM_ROUNDS],
+        net_bytes: max[NET_BYTES],
+        shm_bytes: max[SHM_BYTES],
+        reduce_bytes: max[REDUCE_BYTES],
+        copy_bytes: max[COPY_BYTES],
+        nic_bytes,
+        net_msgs: max[NET_MSGS],
+        shm_msgs: max[SHM_MSGS],
+    }
+}
 
 /// The symbolic cost of one schedule on one layout: integer
 /// coefficients of the α-β-γ polynomial. All byte counts are in units

@@ -6,7 +6,7 @@
 //! cargo xtask lint --update-allowlist   # rewrite the allowlist after a burn-down
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
-//! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
+//! cargo xtask verify-costs              # cost polynomials vs simnet, pinned rankings, stream == IR at scale
 //! cargo xtask tsan [filter]             # ThreadSanitizer lane (nightly) on the Tuner + serve daemon
 //! cargo xtask miri [filter]             # Miri lane (nightly) on mlcore + collectives unit tests
 //! ```
@@ -256,7 +256,10 @@ fn cmd_verify_schedules(args: &[String]) -> Result<(), String> {
 /// schedule execution, holds the analytic ranking against simnet
 /// virtual time at ≥90% top-1 agreement per collective, and pins the
 /// committed known-good rankings so silent cost-model drift fails CI
-/// even while agreement stays above the bar.
+/// even while agreement stays above the bar. Then the large-world
+/// differential: polynomials streamed from the generators must equal
+/// extraction over the built IR on every Frontera and MRI layout (up to
+/// 1024 ranks), in release.
 fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
     if let Some(bad) = args.first() {
         return Err(format!("unknown verify-costs flag `{bad}`"));
@@ -271,8 +274,19 @@ fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
         .args(["run", "--release", "-q", "-p", "pml-mpi", "--"])
         .args(["verify", "--costs", "--cluster", "RI", "--expect", &fixture]);
     run(c, "cost differential")?;
+    let mut c = Command::new("cargo");
+    c.current_dir(&root).args([
+        "test",
+        "--release",
+        "--test",
+        "schedcost_stream",
+        "--",
+        "--ignored",
+    ]);
+    run(c, "large-world streamed-cost differential")?;
     println!(
-        "verify-costs: polynomials derived statically, differential >=90%, pinned rankings stable"
+        "verify-costs: polynomials derived statically, differential >=90%, pinned rankings stable, \
+         streamed polynomials equal the IR oracle at deploy scale"
     );
     Ok(())
 }
