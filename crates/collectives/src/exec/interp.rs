@@ -213,12 +213,12 @@ impl OpsAt for Vec<crate::schedule::Step> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{Region, ScheduleBuilder};
+    use crate::schedule::{Geometry, Region, ScheduleBuilder};
 
     #[test]
     fn two_rank_exchange_moves_bytes() {
         let b = 4;
-        let mut sb = ScheduleBuilder::new(2, b, b, 2 * b, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, b, b, 2 * b, 0));
         for r in 0..2u32 {
             let peer = 1 - r;
             sb.step(r, |s| {
@@ -238,7 +238,7 @@ mod tests {
     fn cross_step_matching_works() {
         // Rank 0 sends in its step 0; rank 1 receives in its step 1.
         let b = 4;
-        let mut sb = ScheduleBuilder::new(2, b, b, b, b);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, b, b, b, b));
         sb.step(0, |s| {
             s.send(1, Region::input(0, b));
             s.recv(1, Region::work(0, b));
@@ -255,8 +255,7 @@ mod tests {
     #[test]
     fn in_place_initialization_seeds_work() {
         let b = 4;
-        let mut sb = ScheduleBuilder::new(1, b, b, b, 0);
-        sb.work_initialized_from_input();
+        let mut sb = ScheduleBuilder::new(Geometry::new(1, b, b, b, 0).in_place());
         sb.step(0, |s| s.copy(Region::work(0, 0), Region::work(0, 0))); // dropped, empty program
         let sch = sb.finish();
         let out = run(&sch, &[vec![7; b]]).unwrap();
@@ -266,7 +265,7 @@ mod tests {
     #[test]
     fn missing_sender_reports_deadlock() {
         let b = 4;
-        let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, b, b, b, 0));
         sb.step(1, |s| s.recv(0, Region::work(0, b)));
         let sch = sb.finish(); // invalid, but run() must still detect it
         let err = run(&sch, &[vec![0; b], vec![0; b]]).unwrap_err();
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn wrong_input_shape_is_reported() {
         let b = 4;
-        let sb = ScheduleBuilder::new(2, b, b, b, 0);
+        let sb = ScheduleBuilder::new(Geometry::new(2, b, b, b, 0));
         let sch = sb.finish();
         assert_eq!(
             run(&sch, &[vec![0; b]]).unwrap_err(),
@@ -298,7 +297,7 @@ mod tests {
     #[test]
     fn unreceived_message_is_reported() {
         let b = 4;
-        let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, b, b, b, 0));
         sb.step(0, |s| s.send(1, Region::input(0, b)));
         let sch = sb.finish(); // invalid: rank 1 never receives
         let err = run(&sch, &[vec![0; b], vec![0; b]]).unwrap_err();

@@ -353,7 +353,7 @@ pub fn run_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{Region, ScheduleBuilder};
+    use crate::schedule::{Geometry, Region, ScheduleBuilder};
     use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, NodeSpec, PcieVersion};
 
     fn test_node() -> NodeSpec {
@@ -375,7 +375,7 @@ mod tests {
 
     /// Two ranks exchanging one message each.
     fn exchange(bytes: usize) -> CommSchedule {
-        let mut sb = ScheduleBuilder::new(2, bytes, bytes, bytes, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, bytes, bytes, bytes, 0));
         for r in 0..2u32 {
             let peer = 1 - r;
             sb.step(r, |s| {
@@ -428,7 +428,7 @@ mod tests {
     fn nic_contention_serializes_concurrent_senders() {
         // Two ranks on node 0 each send a large message to ranks on node 1.
         let bytes = 1 << 20;
-        let mut sb = ScheduleBuilder::new(4, bytes, bytes, bytes, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(4, bytes, bytes, bytes, 0));
         sb.step(0, |s| s.send(2, Region::input(0, bytes)));
         sb.step(1, |s| s.send(3, Region::input(0, bytes)));
         sb.step(2, |s| s.recv(0, Region::work(0, bytes)));
@@ -439,7 +439,7 @@ mod tests {
         let contended = run(&sch, JobLayout::new(2, 2), &cost);
 
         // Same transfer but only one sender on the node.
-        let mut sb1 = ScheduleBuilder::new(2, bytes, bytes, bytes, 0);
+        let mut sb1 = ScheduleBuilder::new(Geometry::new(2, bytes, bytes, bytes, 0));
         sb1.step(0, |s| s.send(1, Region::input(0, bytes)));
         sb1.step(1, |s| s.recv(0, Region::work(0, bytes)));
         let sch1 = sb1.finish();
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_takes_zero_time() {
-        let sb = ScheduleBuilder::new(1, 8, 8, 8, 0);
+        let sb = ScheduleBuilder::new(Geometry::new(1, 8, 8, 8, 0));
         let sch = sb.finish();
         let cost = CostModel::new(test_node(), 1);
         let res = run(&sch, JobLayout::new(1, 1), &cost);
@@ -465,7 +465,7 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn missing_sender_detected() {
         let b = 8;
-        let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(2, b, b, b, 0));
         sb.step(1, |s| s.recv(0, Region::work(0, b)));
         let sch = sb.finish();
         let cost = CostModel::new(test_node(), 1);

@@ -9,7 +9,7 @@
 //! locally. Unlike the flat generators, these schedules depend on the
 //! *job layout*, not just the world size.
 
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder};
 use pml_simnet::JobLayout;
 
 /// Two-level allgather: intra-node gather → leader ring allgather →
@@ -24,7 +24,7 @@ pub fn two_level_allgather(layout: JobLayout, block: usize) -> CommSchedule {
     let nodes = layout.nodes;
     let b = block;
     let pu = p as usize;
-    let mut sb = ScheduleBuilder::new(p, b, b, pu * b, 0);
+    let mut sb = ScheduleBuilder::new(Geometry::new(p, b, b, pu * b, 0));
 
     for r in 0..p {
         let node = layout.node_of(r);

@@ -15,7 +15,7 @@
 //! algorithms, not on absolute microsecond accuracy.
 
 use crate::exec::sim;
-use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
+use crate::schedule::{CommSchedule, Geometry, Region, ScheduleBuilder};
 use pml_obs::Counter;
 use pml_simnet::{CostModel, CostParams, JobLayout, NodeSpec};
 use std::collections::BTreeMap;
@@ -35,7 +35,7 @@ const BIG: usize = 1 << 20;
 
 /// One-directional two-rank ping of `bytes`.
 fn ping(bytes: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(2, bytes, bytes, bytes, 0);
+    let mut sb = ScheduleBuilder::new(Geometry::new(2, bytes, bytes, bytes, 0));
     sb.step(0, |s| s.send(1, Region::input(0, bytes)));
     sb.step(1, |s| s.recv(0, Region::work(0, bytes)));
     sb.finish()
@@ -46,7 +46,7 @@ fn ping(bytes: usize) -> CommSchedule {
 /// marginal per-message overhead of an already-open phase: the base
 /// latency is paid once, each further message only costs CPU handling.
 fn fan_in(bytes: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(4, bytes, bytes, 3 * bytes, 0);
+    let mut sb = ScheduleBuilder::new(Geometry::new(4, bytes, bytes, 3 * bytes, 0));
     for r in 1..4u32 {
         sb.step(r, |s| s.send(0, Region::input(0, bytes)));
     }
@@ -60,7 +60,7 @@ fn fan_in(bytes: usize) -> CommSchedule {
 
 /// One-rank local copy of `bytes`.
 fn copy_probe(bytes: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(1, bytes, bytes, bytes, 0);
+    let mut sb = ScheduleBuilder::new(Geometry::new(1, bytes, bytes, bytes, 0));
     sb.step(0, |s| {
         s.copy(Region::input(0, bytes), Region::work(0, bytes))
     });
@@ -69,7 +69,7 @@ fn copy_probe(bytes: usize) -> CommSchedule {
 
 /// One-rank elementwise reduction of `bytes`.
 fn combine_probe(bytes: usize) -> CommSchedule {
-    let mut sb = ScheduleBuilder::new(1, bytes, bytes, bytes, 0);
+    let mut sb = ScheduleBuilder::new(Geometry::new(1, bytes, bytes, bytes, 0));
     sb.step(0, |s| {
         s.copy(Region::input(0, bytes), Region::work(0, bytes));
         s.combine(Region::input(0, bytes), Region::work(0, bytes));

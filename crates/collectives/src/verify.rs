@@ -193,14 +193,14 @@ fn first_mismatch(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{Region, ScheduleBuilder};
+    use crate::schedule::{Geometry, Region, ScheduleBuilder};
 
     #[test]
     fn detects_wrong_allgather() {
         // A schedule that only copies its own block (no communication).
         let p = 2u32;
         let b = 4;
-        let mut sb = ScheduleBuilder::new(p, b, b, p as usize * b, 0);
+        let mut sb = ScheduleBuilder::new(Geometry::new(p, b, b, p as usize * b, 0));
         for r in 0..p {
             sb.step(r, |s| {
                 s.copy(Region::input(0, b), Region::work(r as usize * b, b))
